@@ -38,36 +38,16 @@ let check_grid problem grid =
     problem.Netlist.Problem.obstructions;
   List.rev !findings
 
-let check_net_connected problem grid id =
-  let nodes = Grid.occupied_nodes grid ~net:id in
-  match nodes with
+let check_net_connected ws problem grid id =
+  match Grid.occupied_nodes grid ~net:id with
   | [] -> [ Printf.sprintf "net %d: marked routed but owns no cells" id ]
-  | seed :: _ ->
-      (* Flood the net's own cells from one of them. *)
-      let seen = Hashtbl.create 64 in
-      let queue = Queue.create () in
-      let visit n =
-        if Grid.occ grid n = id && not (Hashtbl.mem seen n) then begin
-          Hashtbl.replace seen n ();
-          Queue.add n queue
-        end
-      in
-      visit seed;
-      let w = Grid.width grid and h = Grid.height grid in
-      while not (Queue.is_empty queue) do
-        let n = Queue.pop queue in
-        let x = Grid.node_x grid n and y = Grid.node_y grid n in
-        if x + 1 < w then visit (n + 1);
-        if x > 0 then visit (n - 1);
-        if y + 1 < h then visit (n + w);
-        if y > 0 then visit (n - w);
-        if Grid.via_above grid n then visit (Grid.node_above grid n);
-        if Grid.via_below grid n then visit (Grid.node_below grid n)
-      done;
+  | seed :: _ as nodes ->
+      ignore (Maze.Route.flood_net grid ws ~net:id seed : int);
+      let seen n = Maze.Workspace.marked ws n in
       let findings = ref [] in
       List.iter
         (fun n ->
-          if not (Hashtbl.mem seen n) then
+          if not (seen n) then
             findings :=
               Printf.sprintf "net %d: cell (%d,%d,l%d) disconnected" id
                 (Grid.node_x grid n) (Grid.node_y grid n)
@@ -76,8 +56,7 @@ let check_net_connected problem grid id =
         nodes;
       List.iter
         (fun (p : Netlist.Net.pin) ->
-          let n = Grid.node grid ~layer:p.layer ~x:p.x ~y:p.y in
-          if not (Hashtbl.mem seen n) then
+          if not (seen (Grid.node grid ~layer:p.layer ~x:p.x ~y:p.y)) then
             findings :=
               Printf.sprintf "net %d: pin (%d,%d,l%d) disconnected" id p.x p.y
                 p.layer

@@ -20,10 +20,12 @@ val check_grid : Netlist.Problem.t -> Grid.t -> string list
     range, via legality, pin ownership, obstruction integrity.  Empty when
     consistent. *)
 
-val check_net_connected : Netlist.Problem.t -> Grid.t -> int -> string list
+val check_net_connected :
+  Maze.Workspace.t -> Netlist.Problem.t -> Grid.t -> int -> string list
 (** The net's owned cells form one connected component (planar adjacency
     plus vias) containing all its pins.  Only meaningful for nets the
-    caller believes are fully routed. *)
+    caller believes are fully routed.  The flood ({!Maze.Route.flood_net})
+    runs in the given workspace, which must be sized for the grid. *)
 
 val require : where:string -> string list -> unit
 (** @raise Inconsistent when the finding list is non-empty, prefixing the

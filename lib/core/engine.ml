@@ -342,44 +342,28 @@ let connect st ~net ~sources ~targets =
 (* After a net routes, release any of its wiring not connected to the pin
    component: pre-existing loose wiring the new route did not reuse would
    otherwise linger as floating metal.  Protected cells (fixed pre-wiring)
-   are never released. *)
+   are never released.  O(net): the flood walks only the net's own cells,
+   and every releasable cell the net owns is in its [route_nodes] (the
+   auditor checks this), so the candidates come from there.  Orphans are
+   released in ascending node order, so the dirty journal sees the same
+   writes a whole-grid scan would make. *)
 let prune_orphans st id =
-  let g = st.g in
-  let cells = Grid.occupied_nodes g ~net:id in
-  match cells with
+  match (Netlist.Problem.net st.problem id).Netlist.Net.pins with
   | [] -> ()
-  | _ ->
-      let uf = Util.Union_find.create (Grid.node_count g) in
-      List.iter
-        (fun n ->
-          let x = Grid.node_x g n and y = Grid.node_y g n in
-          let layer = Grid.node_layer g n in
-          if Grid.in_bounds g ~x:(x + 1) ~y
-             && Grid.occ_at g ~layer ~x:(x + 1) ~y = id
-          then Util.Union_find.union uf n (n + 1);
-          if Grid.in_bounds g ~x ~y:(y + 1)
-             && Grid.occ_at g ~layer ~x ~y:(y + 1) = id
-          then Util.Union_find.union uf n (n + Grid.width g);
-          if Grid.via_above g n && Grid.occ g (Grid.node_above g n) = id
-          then Util.Union_find.union uf n (Grid.node_above g n);
-          if Grid.via_below g n && Grid.occ g (Grid.node_below g n) = id
-          then Util.Union_find.union uf n (Grid.node_below g n))
-        cells;
-      let net = Netlist.Problem.net st.problem id in
-      let anchor =
-        match net.Netlist.Net.pins with
-        | pin :: _ -> Util.Union_find.find uf (Maze.Route.pin_node g pin)
-        | [] -> (match cells with n :: _ -> Util.Union_find.find uf n | [] -> 0)
-      in
+  | pin :: _ ->
+      let g = st.g and i = id - 1 in
+      ignore
+        (Maze.Route.flood_net g st.ws ~net:id (Maze.Route.pin_node g pin)
+          : int);
       let orphaned n =
-        Util.Union_find.find uf n <> anchor && not (is_protected st n)
+        Grid.occ g n = id
+        && (not (Maze.Workspace.marked st.ws n))
+        && not (is_protected st n)
       in
-      let orphans = List.filter orphaned cells in
+      let orphans, kept = List.partition orphaned st.route_nodes.(i) in
       if orphans <> [] then begin
-        List.iter (Grid.release g) orphans;
-        let i = id - 1 in
-        st.route_nodes.(i) <-
-          List.filter (fun n -> not (List.mem n orphans)) st.route_nodes.(i)
+        List.iter (Grid.release g) (List.sort_uniq Int.compare orphans);
+        st.route_nodes.(i) <- kept
       end
 
 (* Route one net completely (Prim-style tree growth with escalation per
@@ -423,20 +407,29 @@ let route_net st id =
 
 (* The auditor: structural problem/grid consistency (via [Audit]) plus the
    engine's own bookkeeping — tracked route nodes must be owned by their
-   net, rip counters must balance the rip budget, and every net marked
-   routed must be one connected component spanning its pins. *)
+   net and every unprotected owned cell must be tracked, rip counters must
+   balance the rip budget, and every net marked routed must be one
+   connected component spanning its pins. *)
 let run_audit st ~where =
   let findings = ref (Audit.check_grid st.problem st.g) in
   let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
   let nets = Netlist.Problem.net_count st.problem in
+  let tracked = Bytes.make (Grid.node_count st.g) '\000' in
   for i = 0 to nets - 1 do
     List.iter
       (fun n ->
+        Bytes.set tracked n '\001';
         let v = Grid.occ st.g n in
         if v <> i + 1 then add "net %d: tracked route node %d owned by %d"
             (i + 1) n v)
       st.route_nodes.(i)
   done;
+  (* The converse, which [prune_orphans] relies on: every cell a net owns
+     is either protected or tracked. *)
+  Grid.iter_nodes st.g (fun n ->
+      let v = Grid.occ st.g n in
+      if v > 0 && (not (is_protected st n)) && Bytes.get tracked n = '\000'
+      then add "net %d: owned node %d is neither protected nor tracked" v n);
   let per_net_rips = Array.fold_left ( + ) 0 st.rip_count in
   if per_net_rips <> st.rips then
     add "rip counters disagree: per-net sum %d, total %d" per_net_rips st.rips;
@@ -448,7 +441,7 @@ let run_audit st ~where =
     if st.routed.(i) then
       findings :=
         List.rev_append
-          (Audit.check_net_connected st.problem st.g (i + 1))
+          (Audit.check_net_connected st.ws st.problem st.g (i + 1))
           !findings
   done;
   Audit.require ~where (List.rev !findings)

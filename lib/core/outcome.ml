@@ -68,29 +68,43 @@ let pp_guide fmt g =
   Format.fprintf fmt "guides: nets=%d hits=%d fallbacks=%d" g.guided g.hits
     g.fallbacks
 
-let measure_net g ~net =
+(* Stats of nets 1..[nets] from one grid scan: per-owner counters of
+   cells, same-layer +x/+y adjacencies and vias (counted at their lower
+   cell). *)
+let scan g ~nets =
   let w = Grid.width g and h = Grid.height g in
-  let cells = ref 0 and wirelength = ref 0 and vias = ref 0 in
-  for layer = 0 to Grid.layers g - 1 do
-    for y = 0 to h - 1 do
-      for x = 0 to w - 1 do
-        if Grid.occ_at g ~layer ~x ~y = net then begin
-          incr cells;
-          if x + 1 < w && Grid.occ_at g ~layer ~x:(x + 1) ~y = net then
-            incr wirelength;
-          if y + 1 < h && Grid.occ_at g ~layer ~x ~y:(y + 1) = net then
-            incr wirelength
-        end
-      done
-    done
-  done;
+  let cells = Array.make (nets + 1) 0
+  and wirelength = Array.make (nets + 1) 0
+  and vias = Array.make (nets + 1) 0 in
+  let owner n = let v = Grid.occ g n in if v > nets then 0 else v in
+  Grid.iter_nodes g (fun n ->
+      let v = owner n in
+      if v > 0 then begin
+        cells.(v) <- cells.(v) + 1;
+        if Grid.node_x g n + 1 < w && owner (n + 1) = v then
+          wirelength.(v) <- wirelength.(v) + 1;
+        if Grid.node_y g n + 1 < h && owner (n + w) = v then
+          wirelength.(v) <- wirelength.(v) + 1
+      end);
   Grid.iter_via_pairs g (fun ~layer ~x ~y ->
-      if Grid.occ_at g ~layer ~x ~y = net then incr vias);
-  { net_id = net; cells = !cells; wirelength = !wirelength; vias = !vias }
+      let v = owner (Grid.node g ~layer ~x ~y) in
+      if v > 0 then vias.(v) <- vias.(v) + 1);
+  fun net ->
+    {
+      net_id = net;
+      cells = cells.(net);
+      wirelength = wirelength.(net);
+      vias = vias.(net);
+    }
+
+let measure_net g ~net =
+  if net < 1 then invalid_arg "Outcome.measure_net: net id < 1";
+  scan g ~nets:net net
 
 let measure problem g =
-  List.init (Netlist.Problem.net_count problem) (fun i ->
-      measure_net g ~net:(i + 1))
+  let nets = Netlist.Problem.net_count problem in
+  let stats = scan g ~nets in
+  List.init nets (fun i -> stats (i + 1))
 
 let total_wirelength g problem =
   List.fold_left (fun acc s -> acc + s.wirelength) 0 (measure problem g)

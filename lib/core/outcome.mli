@@ -84,11 +84,14 @@ val no_guide : guide_stats
 val pp_guide : Format.formatter -> guide_stats -> unit
 
 val measure_net : Grid.t -> net:int -> net_stats
+(** One net's stats ([net ≥ 1]): one grid scan. *)
 
 val measure : Netlist.Problem.t -> Grid.t -> net_stats list
-(** Stats for every net of the problem, ascending id. *)
+(** Stats for every net of the problem, ascending id: equal to
+    [measure_net] of each net, from one grid scan in all. *)
 
 val total_wirelength : Grid.t -> Netlist.Problem.t -> int
+(** Sum of every net's wirelength, from one grid scan. *)
 
 val total_vias : Grid.t -> int
 (** All vias on the grid. *)

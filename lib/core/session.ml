@@ -51,29 +51,46 @@ let is_routed st ~net =
   Netlist.Net.pin_count n = 0
   || Drc.Check.connected_components st.grid ~net <= 1
 
-(* Wiring a net owns beyond its pins, as prewire cell triples. *)
-let route_cells problem g ~net =
-  let pins =
-    List.filter_map
-      (fun (id, (p : Netlist.Net.pin)) ->
-        if id = net then
-          Some (p.Netlist.Net.layer, p.Netlist.Net.x, p.Netlist.Net.y)
-        else None)
-      (Netlist.Problem.pin_cells problem)
-  in
-  List.filter_map
-    (fun node ->
-      let cell =
+(* [is_routed] of every net, read from one component count of the grid. *)
+let routed_among st components =
+  List.filter
+    (fun net ->
+      Netlist.Net.pin_count (Netlist.Problem.net st.problem net) = 0
+      || components.(net) <= 1)
+    (List.init (Netlist.Problem.net_count st.problem) (fun i -> i + 1))
+
+let grid_components st =
+  Drc.Check.component_counts st.grid
+    ~nets:(Netlist.Problem.net_count st.problem)
+
+let routed_nets st = routed_among st (grid_components st)
+
+(* Every net's wiring beyond its pins, as prewire cell triples in
+   ascending node order, indexed by net id: one grid scan for all nets.
+   Validation gives each pin cell exactly one net, so one table of pin
+   owners tells every net's pins apart from its wiring. *)
+let route_cells problem g =
+  let nets = Netlist.Problem.net_count problem in
+  let pin_owner = Hashtbl.create 64 in
+  List.iter
+    (fun (id, pin) -> Hashtbl.replace pin_owner (Maze.Route.pin_node g pin) id)
+    (Netlist.Problem.pin_cells problem);
+  let cells = Array.make (nets + 1) [] in
+  for node = Grid.node_count g - 1 downto 0 do
+    let v = Grid.occ g node in
+    if v > 0 && v <= nets && Hashtbl.find_opt pin_owner node <> Some v then
+      cells.(v) <-
         (Grid.node_layer g node, Grid.node_x g node, Grid.node_y g node)
-      in
-      if List.mem cell pins then None else Some cell)
-    (Grid.occupied_nodes g ~net)
+        :: cells.(v)
+  done;
+  cells
 
 (* The problem description rebuilt around [new_nets], carrying over the
    wiring of every surviving net (matched by name) as pre-wiring.  Pure:
    reads the session, mutates nothing. *)
 let rebuilt_problem st ?(keep_wiring = fun _ -> true) new_nets =
   let old = st.problem in
+  let wiring = route_cells old st.grid in
   let prewires =
     List.filter_map
       (fun (n : Netlist.Net.t) ->
@@ -83,9 +100,7 @@ let rebuilt_problem st ?(keep_wiring = fun _ -> true) new_nets =
         | Some old_net ->
             if not (keep_wiring name) then None
             else
-              let cells =
-                route_cells old st.grid ~net:old_net.Netlist.Net.id
-              in
+              let cells = wiring.(old_net.Netlist.Net.id) in
               if cells = [] then None
               else
                 Some
@@ -258,12 +273,9 @@ let thaw st ~net =
   end
 
 let verify st =
-  let routed =
-    List.filter
-      (fun net -> is_routed st ~net)
-      (List.init (Netlist.Problem.net_count st.problem) (fun i -> i + 1))
-  in
-  Drc.Check.check ~nets:routed st.problem st.grid
+  let components = grid_components st in
+  Drc.Check.check ~nets:(routed_among st components) ~components st.problem
+    st.grid
 
 (* Wholesale replacement of the session's problem and grid — the commit
    step of pipeline stages (placement, full flow) that compute a new

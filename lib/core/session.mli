@@ -43,6 +43,9 @@ val net_id : t -> string -> int option
 val is_routed : t -> net:int -> bool
 (** Whether the net's cells currently form one connected component. *)
 
+val routed_nets : t -> int list
+(** Every net {!is_routed} holds for, ascending, from one grid pass. *)
+
 val is_frozen : t -> net:int -> bool
 
 val route : ?budget:Budget.t -> t -> Engine.stats

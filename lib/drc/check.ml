@@ -4,33 +4,38 @@ type violation =
   | Via_mismatch of { x : int; y : int }
   | Wire_on_obstruction of { net : int; layer : int; x : int; y : int }
 
-let connected_components g ~net =
+(* One union-find over the whole grid joins every pair of same-owner
+   planar neighbours and every via pair whose two cells share an owner;
+   each set then holds cells of one owner, so a net's component count is
+   the number of set roots it owns.  O(grid) for all nets at once. *)
+let component_counts g ~nets =
   let uf = Util.Union_find.create (Grid.node_count g) in
   let w = Grid.width g and h = Grid.height g in
-  for layer = 0 to Grid.layers g - 1 do
-    for y = 0 to h - 1 do
-      for x = 0 to w - 1 do
-        if Grid.occ_at g ~layer ~x ~y = net then begin
-          let n = Grid.node g ~layer ~x ~y in
-          if x + 1 < w && Grid.occ_at g ~layer ~x:(x + 1) ~y = net then
-            Util.Union_find.union uf n (Grid.node g ~layer ~x:(x + 1) ~y);
-          if y + 1 < h && Grid.occ_at g ~layer ~x ~y:(y + 1) = net then
-            Util.Union_find.union uf n (Grid.node g ~layer ~x ~y:(y + 1))
-        end
-      done
-    done
-  done;
+  Grid.iter_nodes g (fun n ->
+      let v = Grid.occ g n in
+      if v > 0 then begin
+        if Grid.node_x g n + 1 < w && Grid.occ g (n + 1) = v then
+          Util.Union_find.union uf n (n + 1);
+        if Grid.node_y g n + 1 < h && Grid.occ g (n + w) = v then
+          Util.Union_find.union uf n (n + w)
+      end);
   Grid.iter_via_pairs g (fun ~layer ~x ~y ->
-      if
-        Grid.occ_at g ~layer ~x ~y = net
-        && Grid.occ_at g ~layer:(layer + 1) ~x ~y = net
-      then
-        Util.Union_find.union uf
-          (Grid.node g ~layer ~x ~y)
-          (Grid.node g ~layer:(layer + 1) ~x ~y));
-  Util.Union_find.count_components uf (fun n -> Grid.occ g n = net)
+      let lo = Grid.node g ~layer ~x ~y in
+      let hi = Grid.node_above g lo in
+      let v = Grid.occ g lo in
+      if v > 0 && Grid.occ g hi = v then Util.Union_find.union uf lo hi);
+  let counts = Array.make (max 0 nets + 1) 0 in
+  Grid.iter_nodes g (fun n ->
+      let v = Grid.occ g n in
+      if v > 0 && v <= nets && Util.Union_find.find uf n = n then
+        counts.(v) <- counts.(v) + 1);
+  counts
 
-let check ?nets problem g =
+let connected_components g ~net =
+  if net < 1 then invalid_arg "Check.connected_components: net id < 1";
+  (component_counts g ~nets:net).(net)
+
+let check ?nets ?components problem g =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   (* Pin ownership. *)
@@ -64,16 +69,22 @@ let check ?nets problem g =
       and b = Grid.occ_at g ~layer:(layer + 1) ~x ~y in
       if a <= 0 || a <> b then add (Via_mismatch { x; y }));
   (* Connectivity. *)
+  let net_count = Netlist.Problem.net_count problem in
   let net_ids =
     match nets with
     | Some ids -> ids
-    | None -> List.init (Netlist.Problem.net_count problem) (fun i -> i + 1)
+    | None -> List.init net_count (fun i -> i + 1)
+  in
+  let counts =
+    match components with
+    | Some c -> c
+    | None -> component_counts g ~nets:net_count
   in
   List.iter
     (fun net ->
       let n = Netlist.Problem.net problem net in
       if Netlist.Net.pin_count n > 0 then begin
-        let components = connected_components g ~net in
+        let components = counts.(net) in
         if components <> 1 then add (Net_disconnected { net; components })
       end)
     net_ids;

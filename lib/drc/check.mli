@@ -20,16 +20,28 @@ type violation =
   | Wire_on_obstruction of { net : int; layer : int; x : int; y : int }
 
 val check :
-  ?nets:int list -> Netlist.Problem.t -> Grid.t -> violation list
+  ?nets:int list ->
+  ?components:int array ->
+  Netlist.Problem.t ->
+  Grid.t ->
+  violation list
 (** All violations found.  Connectivity is verified for the given net ids
     (default: every net of the problem); the other checks are always
-    global.  Pass the routed subset when verifying an incomplete result. *)
+    global.  Pass the routed subset when verifying an incomplete result.
+    [components] supplies the grid's {!component_counts} when the caller
+    already has them; otherwise they are computed here, once per call.
+    O(grid + obstruction area + net ids). *)
 
 val is_clean : ?nets:int list -> Netlist.Problem.t -> Grid.t -> bool
 
+val component_counts : Grid.t -> nets:int -> int array
+(** Element [i] ([1 ≤ i ≤ nets]) is the number of connected components of
+    net [i]'s owned cells (planar adjacency per layer; across layers only
+    through vias); element [0] is unused.  One union-find over the grid
+    serves every net: O(grid). *)
+
 val connected_components : Grid.t -> net:int -> int
-(** Number of connected components of the net's owned cells (planar
-    adjacency per layer; across layers only through vias). *)
+(** [component_counts] of one net ([net ≥ 1]). *)
 
 val pp_violation : Format.formatter -> violation -> unit
 

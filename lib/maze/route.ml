@@ -39,6 +39,39 @@ let occupy_path g ~net path =
 
 let release_nodes g nodes = List.iter (Grid.release g) nodes
 
+let flood_net g ws ~net seed =
+  Workspace.begin_search ws;
+  if Grid.occ g seed <> net then 0
+  else begin
+    let w = Grid.width g and h = Grid.height g in
+    let count = ref 0 in
+    let stack = ref [ seed ] in
+    Workspace.mark ws seed;
+    let visit m =
+      if Grid.occ g m = net && not (Workspace.marked ws m) then begin
+        Workspace.mark ws m;
+        stack := m :: !stack
+      end
+    in
+    let rec drain () =
+      match !stack with
+      | [] -> ()
+      | n :: rest ->
+          stack := rest;
+          incr count;
+          let x = Grid.node_x g n and y = Grid.node_y g n in
+          if x + 1 < w then visit (n + 1);
+          if x > 0 then visit (n - 1);
+          if y + 1 < h then visit (n + w);
+          if y > 0 then visit (n - w);
+          if Grid.via_above g n then visit (Grid.node_above g n);
+          if Grid.via_below g n then visit (Grid.node_below g n);
+          drain ()
+    in
+    drain ();
+    !count
+  end
+
 type guide_tally = { mutable ghits : int; mutable gfallbacks : int }
 
 let no_tally () = { ghits = 0; gfallbacks = 0 }

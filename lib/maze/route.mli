@@ -33,6 +33,16 @@ val release_nodes : Grid.t -> int list -> unit
 
 val pin_node : Grid.t -> Netlist.Net.pin -> int
 
+val flood_net : Grid.t -> Workspace.t -> net:int -> int -> int
+(** [flood_net g ws ~net seed] marks in [ws] every cell owned by [net]
+    that is connected to [seed] (same-layer planar steps; across layers
+    only through vias) and returns how many it marked: [0] when [seed] is
+    not owned by [net].  It starts a new workspace generation
+    ({!Workspace.begin_search}), so the marks are read with
+    {!Workspace.marked} until the next search; the touched-region
+    accumulator and the heuristic-field memo are left alone.  O(cells
+    reached). *)
+
 (** Hit/fallback counters of guided connections, accumulated by
     {!plan_net} (and the engine's sequential twin) so speculative commits
     can replay exactly the counters a sequential run would produce. *)

@@ -469,16 +469,13 @@ let snapshot t =
     let e = Hashtbl.find t.sessions name in
     let problem = Router.Session.problem e.session in
     let nets = Netlist.Problem.net_count problem in
-    let routed = ref 0 in
-    for net = 1 to nets do
-      if Router.Session.is_routed e.session ~net then incr routed
-    done;
+    let routed = List.length (Router.Session.routed_nets e.session) in
     ( name,
       J.Obj
         [
           ("gen", J.Int e.gen);
           ("nets", J.Int nets);
-          ("routed", J.Int !routed);
+          ("routed", J.Int routed);
         ] )
   in
   J.Obj (List.map row (names t))

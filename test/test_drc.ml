@@ -174,6 +174,198 @@ let test_connected_components_counts () =
   Testkit.check_int "diagonal not connected" 3
     (Drc.Check.connected_components g ~net:1)
 
+(* --- one-pass checks against the per-net oracles ---
+
+   The oracles are the per-net whole-grid loops [Drc.Check.check] and
+   [Router.Outcome.measure] used before they became one pass per call. *)
+
+let oracle_components g ~net =
+  let uf = Util.Union_find.create (Grid.node_count g) in
+  let w = Grid.width g and h = Grid.height g in
+  for layer = 0 to Grid.layers g - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        if Grid.occ_at g ~layer ~x ~y = net then begin
+          let n = Grid.node g ~layer ~x ~y in
+          if x + 1 < w && Grid.occ_at g ~layer ~x:(x + 1) ~y = net then
+            Util.Union_find.union uf n (Grid.node g ~layer ~x:(x + 1) ~y);
+          if y + 1 < h && Grid.occ_at g ~layer ~x ~y:(y + 1) = net then
+            Util.Union_find.union uf n (Grid.node g ~layer ~x ~y:(y + 1))
+        end
+      done
+    done
+  done;
+  Grid.iter_via_pairs g (fun ~layer ~x ~y ->
+      if
+        Grid.occ_at g ~layer ~x ~y = net
+        && Grid.occ_at g ~layer:(layer + 1) ~x ~y = net
+      then
+        Util.Union_find.union uf
+          (Grid.node g ~layer ~x ~y)
+          (Grid.node g ~layer:(layer + 1) ~x ~y));
+  Util.Union_find.count_components uf (fun n -> Grid.occ g n = net)
+
+(* [Drc.Check.check] with its connectivity section read from the per-net
+   oracle; the other sections are already one pass per call. *)
+let oracle_check ?nets problem g =
+  let others =
+    List.filter
+      (function
+        | Drc.Check.Net_disconnected _ -> false
+        | Drc.Check.Pin_not_owned _ | Drc.Check.Via_mismatch _
+        | Drc.Check.Wire_on_obstruction _ ->
+            true)
+      (Drc.Check.check ~nets:[] problem g)
+  in
+  let net_ids =
+    match nets with
+    | Some ids -> ids
+    | None -> List.init (Netlist.Problem.net_count problem) (fun i -> i + 1)
+  in
+  others
+  @ List.filter_map
+      (fun net ->
+        let n = Netlist.Problem.net problem net in
+        if Netlist.Net.pin_count n = 0 then None
+        else
+          let components = oracle_components g ~net in
+          if components <> 1 then
+            Some (Drc.Check.Net_disconnected { net; components })
+          else None)
+      net_ids
+
+let oracle_measure_net g ~net =
+  let w = Grid.width g and h = Grid.height g in
+  let cells = ref 0 and wirelength = ref 0 and vias = ref 0 in
+  for layer = 0 to Grid.layers g - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        if Grid.occ_at g ~layer ~x ~y = net then begin
+          incr cells;
+          if x + 1 < w && Grid.occ_at g ~layer ~x:(x + 1) ~y = net then
+            incr wirelength;
+          if y + 1 < h && Grid.occ_at g ~layer ~x ~y:(y + 1) = net then
+            incr wirelength
+        end
+      done
+    done
+  done;
+  Grid.iter_via_pairs g (fun ~layer ~x ~y ->
+      if Grid.occ_at g ~layer ~x ~y = net then incr vias);
+  {
+    Router.Outcome.net_id = net;
+    cells = !cells;
+    wirelength = !wirelength;
+    vias = !vias;
+  }
+
+(* A routed instance with faults injected: cut wire cells (pins
+   included), dropped via flags, floating metal, and wire under a newly
+   declared obstruction.  Returns the (possibly re-declared) problem, the
+   faulty grid and an optional net filter. *)
+let faulty_layout seed =
+  let rng = Util.Prng.create seed in
+  let layers = Util.Prng.int_in rng 2 3 in
+  let p =
+    Workload.Gen.routable_chip ~layers ~macro_cols:2 ~macro_rows:1 rng
+      ~width:(Util.Prng.int_in rng 14 24)
+      ~height:(Util.Prng.int_in rng 12 20)
+  in
+  let g = (Router.Engine.route p).Router.Engine.grid in
+  let nets = Netlist.Problem.net_count p in
+  let owned () =
+    let acc = ref [] in
+    Grid.iter_nodes g (fun n -> if Grid.occ g n > 0 then acc := n :: !acc);
+    Array.of_list !acc
+  in
+  let pins = Hashtbl.create 64 in
+  List.iter
+    (fun (_, pin) -> Hashtbl.replace pins (Maze.Route.pin_node g pin) ())
+    (Netlist.Problem.pin_cells p);
+  let extra_obs = ref [] in
+  for _ = 1 to Util.Prng.int_in rng 0 4 do
+    match Util.Prng.int rng 4 with
+    | 0 ->
+        let cells = owned () in
+        if cells <> [||] then Grid.release g (Util.Prng.pick rng cells)
+    | 1 ->
+        let vias = ref [] in
+        Grid.iter_via_pairs g (fun ~layer ~x ~y ->
+            vias := (layer, x, y) :: !vias);
+        if !vias <> [] then begin
+          let layer, x, y = Util.Prng.pick_list rng !vias in
+          Grid.clear_via ~layer g ~x ~y
+        end
+    | 2 when nets > 0 ->
+        let free = ref [] in
+        Grid.iter_nodes g (fun n -> if Grid.is_free g n then free := n :: !free);
+        if !free <> [] then
+          Grid.occupy g
+            ~net:(Util.Prng.int_in rng 1 nets)
+            (Util.Prng.pick_list rng !free)
+    | _ ->
+        let wires =
+          List.filter
+            (fun n -> not (Hashtbl.mem pins n))
+            (Array.to_list (owned ()))
+        in
+        if wires <> [] then begin
+          let n = Util.Prng.pick_list rng wires in
+          let x = Grid.node_x g n and y = Grid.node_y g n in
+          extra_obs :=
+            {
+              Netlist.Problem.obs_layer = Some (Grid.node_layer g n);
+              obs_rect = Geom.Rect.make x y x y;
+            }
+            :: !extra_obs
+        end
+  done;
+  let p =
+    Netlist.Problem.make ~kind:p.Netlist.Problem.kind
+      ~layers:p.Netlist.Problem.layers
+      ~layer_dirs:p.Netlist.Problem.layer_dirs
+      ~obstructions:(p.Netlist.Problem.obstructions @ List.rev !extra_obs)
+      ~name:p.Netlist.Problem.name ~width:p.Netlist.Problem.width
+      ~height:p.Netlist.Problem.height
+      (Array.to_list p.Netlist.Problem.nets)
+  in
+  let filter =
+    if Util.Prng.bool rng then None
+    else
+      Some
+        (Util.Prng.shuffle_list rng
+           (List.filter
+              (fun _ -> Util.Prng.bool rng)
+              (List.init nets (fun i -> i + 1))))
+  in
+  (p, g, filter)
+
+let prop_check_matches_oracle =
+  Testkit.qcheck ~count:60 "one-pass check = per-net oracle"
+    QCheck2.Gen.(int_range 1 100_000)
+    (fun seed ->
+      let p, g, nets = faulty_layout seed in
+      Drc.Check.check ?nets p g = oracle_check ?nets p g
+      && List.for_all
+           (fun net ->
+             Drc.Check.connected_components g ~net = oracle_components g ~net)
+           (List.init (Netlist.Problem.net_count p) (fun i -> i + 1)))
+
+let prop_measure_matches_oracle =
+  Testkit.qcheck ~count:60 "one-pass measure = per-net oracle"
+    QCheck2.Gen.(int_range 1 100_000)
+    (fun seed ->
+      let p, g, _ = faulty_layout seed in
+      Router.Outcome.measure p g
+      = List.init (Netlist.Problem.net_count p) (fun i ->
+            oracle_measure_net g ~net:(i + 1))
+      && Router.Outcome.total_wirelength g p
+         = List.fold_left
+             (fun acc net ->
+               acc + (oracle_measure_net g ~net).Router.Outcome.wirelength)
+             0
+             (List.init (Netlist.Problem.net_count p) (fun i -> i + 1)))
+
 let test_pp_violation_output () =
   let s =
     Format.asprintf "%a" Drc.Check.pp_violation
@@ -202,4 +394,5 @@ let () =
           Alcotest.test_case "component counts" `Quick test_connected_components_counts;
           Alcotest.test_case "violation printing" `Quick test_pp_violation_output;
         ] );
+      ("one-pass", [ prop_check_matches_oracle; prop_measure_matches_oracle ]);
     ]

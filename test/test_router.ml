@@ -575,27 +575,54 @@ let test_engine_routes_l_shaped_region () =
         Testkit.check_true "notch unwired L1" (Grid.occ_at g ~layer:1 ~x ~y <= 0)
       end)
 
+(* A loose prewire with a dead-end stub off to the side. *)
+let orphan_prewire_problem () =
+  Netlist.Problem.make ~name:"orphan" ~width:10 ~height:6
+    ~prewires:
+      [
+        {
+          Netlist.Problem.pre_net = 1;
+          (* a stub far from the straight pin-to-pin line *)
+          pre_cells = [ (0, 4, 4); (0, 5, 4); (0, 6, 4) ];
+          pre_fixed = false;
+        };
+      ]
+    [ Netlist.Net.make ~id:1 ~name:"a" [ pin 0 0; pin 9 0 ] ]
+
 let test_engine_prunes_orphan_prewire () =
-  (* A loose prewire with a dead-end stub off to the side: whatever the
-     router does with the main run, no floating fragment may survive. *)
-  let p =
-    Netlist.Problem.make ~name:"orphan" ~width:10 ~height:6
-      ~prewires:
-        [
-          {
-            Netlist.Problem.pre_net = 1;
-            (* a stub far from the straight pin-to-pin line *)
-            pre_cells = [ (0, 4, 4); (0, 5, 4); (0, 6, 4) ];
-            pre_fixed = false;
-          };
-        ]
-      [ Netlist.Net.make ~id:1 ~name:"a" [ pin 0 0; pin 9 0 ] ]
-  in
-  let r = Testkit.route_clean p in
+  (* Whatever the router does with the main run, no floating fragment may
+     survive. *)
+  let r = Testkit.route_clean (orphan_prewire_problem ()) in
   (* route_clean already implies single-component connectivity, i.e. the
      stub was either integrated or released. *)
   Testkit.check_int "one component" 1
     (Drc.Check.connected_components r.Router.Engine.grid ~net:1)
+
+(* [Engine.prune_orphans] takes its candidates from the engine's tracked
+   route nodes, which is exact only if every unprotected cell a net owns
+   is tracked.  The per-net auditor checks that premise after every net
+   routed under the production search flags. *)
+let test_audit_net_production () =
+  let config =
+    {
+      Router.Config.default with
+      Router.Config.use_astar = true;
+      kernel = Maze.Search.Buckets;
+      window_margin = Some 4;
+      audit = Router.Config.Audit_net;
+    }
+  in
+  List.iter
+    (fun p ->
+      match Testkit.route_clean ~config p with
+      | (_ : Router.Engine.t) -> ()
+      | exception Router.Audit.Inconsistent msg ->
+          Alcotest.failf "%s: audit finding: %s" p.Netlist.Problem.name msg)
+    [
+      Netlist.Parse.load_exn "../instances/switchbox_32x26.problem";
+      Netlist.Parse.load_exn "../instances/chip_96x64.problem";
+      orphan_prewire_problem ();
+    ]
 
 let test_config_describe () =
   Testkit.check_true "full"
@@ -834,6 +861,8 @@ let () =
           Alcotest.test_case "fixed prewire" `Quick test_engine_fixed_prewire_untouched;
           Alcotest.test_case "loose prewire" `Quick test_engine_loose_prewire_rippable;
           Alcotest.test_case "orphan prewire pruned" `Quick test_engine_prunes_orphan_prewire;
+          Alcotest.test_case "per-net audit, production flags" `Quick
+            test_audit_net_production;
           Alcotest.test_case "L-shaped region" `Quick test_engine_routes_l_shaped_region;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "cost cache transparent" `Quick
